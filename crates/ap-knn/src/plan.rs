@@ -24,6 +24,8 @@
 //! A linear fit `ns/symbol ≈ 1 700 + 0.48 · elements` reproduces all three
 //! points within ~8 %, which is accurate enough to place the crossover: the
 //! planner only needs to know whether a run costs milliseconds or minutes.
+//! Cycle-accurate kNN batches run on the 64-lane core, so the planner prices
+//! lane cycles at this per-symbol rate × [`LANE_CYCLE_COST_FACTOR`].
 
 use crate::engine::ExecutionMode;
 use serde::{Deserialize, Serialize};
@@ -37,8 +39,11 @@ pub const DEFAULT_BUDGET_S: f64 = 0.25;
 /// How much more one lane-core cycle costs than one scalar symbol step: the
 /// lane core touches 64-bit words per element where the scalar core touches
 /// a sparse frontier, so a lane cycle is a small constant factor heavier —
-/// but a 64-query batch needs ~64× fewer cycles, so the lane path wins
-/// whenever the batch fills more than a few lanes (`sim_lanes` bench).
+/// but a 64-query batch needs ~64× fewer cycles. Every cycle-accurate kNN
+/// batch runs on the lane core, so this is the rate at which the planner
+/// and the fan-out gate price one. The factor is a single fixed value:
+/// per-batch probes on a 2-core x86-64 container put the ratio at ~0.9–1.2×
+/// for lane width 1 and ~4.5–7.4× for width 64.
 pub const LANE_CYCLE_COST_FACTOR: f64 = 3.0;
 
 /// Picks an [`ExecutionMode`] from fabric size × stream length using the
@@ -94,44 +99,17 @@ impl AutoPlanner {
         total_symbols as f64 * ns_per_symbol * 1e-9
     }
 
-    /// Estimated wall-clock seconds for the *lane* core to run `lane_cycles`
-    /// cycles on boards of `board_elements` elements: the same linear model
-    /// scaled by [`LANE_CYCLE_COST_FACTOR`]. Callers pass the critical-path
-    /// cycle count (`window_len × passes × critical-path images`).
-    pub fn estimated_lane_simulation_s(&self, board_elements: usize, lane_cycles: u64) -> f64 {
-        self.estimated_simulation_s(board_elements, lane_cycles) * LANE_CYCLE_COST_FACTOR
-    }
-
-    /// The mode the planner selects for a run of this shape: cycle-accurate
-    /// while the estimated simulation time fits the budget, behavioural
-    /// beyond it. Deterministic in the run shape, so repeated identical
-    /// batches always execute the same way.
-    pub fn pick(&self, board_elements: usize, total_symbols: u64) -> ExecutionMode {
-        if self.estimated_simulation_s(board_elements, total_symbols) <= self.budget_s {
-            ExecutionMode::CycleAccurate
-        } else {
-            ExecutionMode::Behavioral
-        }
-    }
-
-    /// [`pick`](Self::pick) for engines whose batch qualifies for the lane
-    /// core: when `lane_cycles` is `Some`, the cycle-accurate cost is the
-    /// *cheaper* of the scalar and lane estimates (the engine routes the batch
-    /// to whichever core the threshold selects, and the lane path typically
-    /// compresses a full batch into ~1/64 of the symbols). `None` degrades to
-    /// the scalar [`pick`](Self::pick).
-    pub fn pick_with_lanes(
-        &self,
-        board_elements: usize,
-        total_symbols: u64,
-        lane_cycles: Option<u64>,
-    ) -> ExecutionMode {
-        let scalar_s = self.estimated_simulation_s(board_elements, total_symbols);
-        let best_s = match lane_cycles {
-            Some(cycles) => scalar_s.min(self.estimated_lane_simulation_s(board_elements, cycles)),
-            None => scalar_s,
-        };
-        if best_s <= self.budget_s {
+    /// The mode the planner selects for a run of `lane_cycles` lane-core
+    /// cycles on boards of `board_elements` elements: cycle-accurate while the
+    /// estimated simulation time — the scalar per-symbol model scaled by
+    /// [`LANE_CYCLE_COST_FACTOR`] — fits the budget, behavioural beyond it.
+    /// Callers pass the critical-path cycle count (`window_len × passes ×
+    /// critical-path images`). Deterministic in the run shape, so repeated
+    /// identical batches always execute the same way.
+    pub fn pick(&self, board_elements: usize, lane_cycles: u64) -> ExecutionMode {
+        let lane_s =
+            self.estimated_simulation_s(board_elements, lane_cycles) * LANE_CYCLE_COST_FACTOR;
+        if lane_s <= self.budget_s {
             ExecutionMode::CycleAccurate
         } else {
             ExecutionMode::Behavioral
@@ -149,27 +127,12 @@ pub enum ExecutionPlanner {
 }
 
 impl ExecutionPlanner {
-    /// Resolves the mode for a run of the given shape.
-    pub fn pick(&self, board_elements: usize, total_symbols: u64) -> ExecutionMode {
+    /// Resolves the mode for a run of `lane_cycles` lane-core cycles (see
+    /// [`AutoPlanner::pick`]). Fixed planners ignore the shape.
+    pub fn pick(&self, board_elements: usize, lane_cycles: u64) -> ExecutionMode {
         match self {
             Self::Fixed(mode) => *mode,
-            Self::Auto(planner) => planner.pick(board_elements, total_symbols),
-        }
-    }
-
-    /// Resolves the mode when the batch qualifies for the lane core (see
-    /// [`AutoPlanner::pick_with_lanes`]). Fixed planners still ignore shape.
-    pub fn pick_with_lanes(
-        &self,
-        board_elements: usize,
-        total_symbols: u64,
-        lane_cycles: Option<u64>,
-    ) -> ExecutionMode {
-        match self {
-            Self::Fixed(mode) => *mode,
-            Self::Auto(planner) => {
-                planner.pick_with_lanes(board_elements, total_symbols, lane_cycles)
-            }
+            Self::Auto(planner) => planner.pick(board_elements, lane_cycles),
         }
     }
 }
@@ -236,28 +199,29 @@ mod tests {
     #[test]
     fn lane_compression_keeps_big_batches_cycle_accurate() {
         let planner = AutoPlanner::measured();
-        // A 64-query batch on a mid-size board: scalar streaming blows the
-        // budget, but one lane pass (1/64 of the symbols at 3× per-cycle
-        // cost) stays well inside it.
+        // A 64-query batch on a mid-size board is one lane pass: priced at
+        // 3× per cycle it stays well inside the budget, while the same batch
+        // streamed as 64 concatenated windows would blow it.
         let board = 36_224;
-        let scalar_symbols = 64 * 4_000u64;
         let lane_cycles = 4_000u64;
         assert_eq!(
-            planner.pick(board, scalar_symbols),
-            ExecutionMode::Behavioral
-        );
-        assert_eq!(
-            planner.pick_with_lanes(board, scalar_symbols, Some(lane_cycles)),
+            planner.pick(board, lane_cycles),
             ExecutionMode::CycleAccurate
         );
-        // No lane option: degrades to the scalar decision.
         assert_eq!(
-            planner.pick_with_lanes(board, scalar_symbols, None),
+            planner.pick(board, 64 * lane_cycles),
+            ExecutionMode::Behavioral
+        );
+        // A lane cycle is priced at the lane rate, not the scalar one.
+        let scalar_s = planner.estimated_simulation_s(board, lane_cycles);
+        let at_budget = AutoPlanner::measured().with_budget_s(scalar_s * 2.0);
+        assert_eq!(
+            at_budget.pick(board, lane_cycles),
             ExecutionMode::Behavioral
         );
         // Truly huge lane runs still fall back.
         assert_eq!(
-            planner.pick_with_lanes(board, u64::MAX >> 8, Some(u64::MAX >> 16)),
+            planner.pick(board, u64::MAX >> 16),
             ExecutionMode::Behavioral
         );
     }

@@ -9,20 +9,21 @@
 //! sparse-frontier cores are all constructed once and cached, so a steady
 //! stream of batches pays only for encoding the new symbol stream and running
 //! it. Board images are compiled lazily on the first cycle-accurate batch
-//! (behavioural-only traffic never builds a network at all).
+//! (behavioural-only traffic never builds a network at all). Every
+//! cycle-accurate batch, a single query included, runs on the bit-parallel
+//! lane core: each 64-query chunk is one window-length pass.
 //!
-//! [`crate::scheduler::PreparedSchedule`] reuses the same cached image set for
-//! the multi-board parallel schedule.
+//! [`crate::scheduler::PreparedSchedule`] is a view over a [`PreparedEngine`]
+//! that reports the multi-board schedule.
 
 use crate::builder::PartitionNetwork;
-use crate::decode::{merge_lane_reports_into, merge_reports_into};
-use crate::design::KnnDesign;
+use crate::decode::merge_lane_reports_into;
 use crate::engine::{ApKnnEngine, ApRunStats, ExecutionMode};
 use crate::lanes::encode_lane_planes_into;
 use crate::plan::{BASE_NS_PER_SYMBOL, LANE_CYCLE_COST_FACTOR, NS_PER_ELEMENT_SYMBOL};
 use crate::stream::StreamLayout;
 use ap_sim::lanes::{LaneReportEvent, LaneState, LaneStream, MAX_LANES};
-use ap_sim::{CompiledNetwork, CompiledState, ReportEvent};
+use ap_sim::CompiledNetwork;
 use binvec::dataset::DatasetPartition;
 use binvec::{
     BinaryDataset, BinaryVector, ExecutionPreference, Neighbor, QueryOptions, SearchError, TopK,
@@ -33,40 +34,32 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// One cached board configuration: the compiled sparse-frontier core plus the
 /// base index that rebases its report codes into global dataset ids.
 #[derive(Clone, Debug)]
-pub(crate) struct BoardImage {
-    pub(crate) base_index: usize,
-    pub(crate) compiled: CompiledNetwork,
+struct BoardImage {
+    base_index: usize,
+    compiled: CompiledNetwork,
 }
 
 /// Reusable execution scratch for one batch role (the host merge side of a
-/// batch, or one fan-out worker): compiled-core run state, report sink,
-/// per-query top-k accumulators, the behavioural distance buffer, the encoded
-/// symbol stream, and the per-worker chunk sizes. Everything is recycled
-/// through the [`ScratchPool`], so a steady-state batch touches no allocator.
+/// batch, or one fan-out worker): per-query top-k accumulators, the
+/// behavioural distance buffer, and the lane core's run state, report sink
+/// and encoded passes. Everything is recycled through the [`ScratchPool`], so
+/// a steady-state batch touches no allocator.
 #[derive(Debug, Default)]
-pub(crate) struct BatchScratch {
-    /// Compiled-core run state, adapted per board image via
-    /// [`CompiledNetwork::recycle_state`]. Created on the first cycle-accurate
-    /// run this scratch serves.
-    pub(crate) state: Option<CompiledState>,
-    /// Report sink reused across the images a worker drives.
-    pub(crate) reports: Vec<ReportEvent>,
-    /// Per-query top-k accumulators, re-armed per batch.
-    pub(crate) accumulators: Vec<TopK>,
+struct BatchScratch {
+    /// Per-query top-k accumulators, re-armed per batch. Never shrinks, so
+    /// alternating batch widths reuse every selector.
+    accumulators: Vec<TopK>,
     /// Behavioural-mode per-partition distance buffer.
-    pub(crate) distances: Vec<u32>,
-    /// Encoded symbol stream for the batch.
-    pub(crate) stream: Vec<u8>,
-    /// Images run per fan-out worker for the most recent batch.
-    pub(crate) chunks: Vec<usize>,
+    distances: Vec<u32>,
     /// Lane-core run state, adapted per board image via
-    /// [`CompiledNetwork::recycle_lane_state`].
-    pub(crate) lane_state: Option<LaneState>,
+    /// [`CompiledNetwork::recycle_lane_state`]. Created on the first
+    /// cycle-accurate run this scratch serves.
+    lane_state: Option<LaneState>,
     /// Lane-core report sink reused across images and passes.
-    pub(crate) lane_reports: Vec<LaneReportEvent>,
+    lane_reports: Vec<LaneReportEvent>,
     /// Encoded lane passes for the batch (one per 64-query chunk); streams are
     /// re-encoded in place, so the vector only grows to the widest batch seen.
-    pub(crate) lane_streams: Vec<LaneStream>,
+    lane_streams: Vec<LaneStream>,
 }
 
 /// Occupancy statistics of a prepared engine's execution-scratch pool.
@@ -89,10 +82,10 @@ impl PoolStats {
 }
 
 /// A lock-guarded free list of [`BatchScratch`] shared by every batch (and
-/// every fan-out worker) of one prepared engine or schedule. Clones of a
-/// prepared engine share the pool through its `Arc`.
+/// every fan-out worker) of one prepared engine. Clones of a prepared engine
+/// share the pool through its `Arc`.
 #[derive(Debug, Default)]
-pub(crate) struct ScratchPool {
+struct ScratchPool {
     idle: Mutex<Vec<BatchScratch>>,
     checkouts: AtomicU64,
     fresh: AtomicU64,
@@ -100,7 +93,7 @@ pub(crate) struct ScratchPool {
 
 impl ScratchPool {
     /// Takes a scratch from the pool, creating one only when it is empty.
-    pub(crate) fn checkout(&self) -> BatchScratch {
+    fn checkout(&self) -> BatchScratch {
         self.checkouts.fetch_add(1, Ordering::Relaxed);
         match self.idle.lock().expect("scratch pool poisoned").pop() {
             Some(scratch) => scratch,
@@ -112,7 +105,7 @@ impl ScratchPool {
     }
 
     /// Returns a scratch (with all its warmed allocations) to the pool.
-    pub(crate) fn give_back(&self, scratch: BatchScratch) {
+    fn give_back(&self, scratch: BatchScratch) {
         self.idle
             .lock()
             .expect("scratch pool poisoned")
@@ -120,7 +113,7 @@ impl ScratchPool {
     }
 
     /// Checkout/fresh counters.
-    pub(crate) fn stats(&self) -> PoolStats {
+    fn stats(&self) -> PoolStats {
         PoolStats {
             checkouts: self.checkouts.load(Ordering::Relaxed),
             fresh: self.fresh.load(Ordering::Relaxed),
@@ -134,14 +127,14 @@ impl ScratchPool {
 /// 0.99× "speedup" for exactly this reason). The estimate reuses the planner's
 /// calibrated cost model, so the gate and the planner can never disagree about
 /// what a symbol costs.
-pub(crate) const MIN_WORKER_FANOUT_NS: f64 = 2_000_000.0;
+const MIN_WORKER_FANOUT_NS: f64 = 2_000_000.0;
 
 /// Chunk length of the contiguous worker assignment for `count` items over up
 /// to `workers` workers: worker `w` owns items `[w·span, (w+1)·span)`. This is
 /// the *one* definition of the fan-out shape — the execution path chunks by it
-/// and the empty-batch stats path reports it (via [`contiguous_assignment`]),
+/// and [`crate::ScheduleStats`] reports it (via [`contiguous_assignment`]),
 /// so the two can never drift. Allocation-free for the pooled hot path.
-pub(crate) fn assignment_span(count: usize, workers: usize) -> usize {
+fn assignment_span(count: usize, workers: usize) -> usize {
     let workers = workers.min(count).max(1);
     count.div_ceil(workers).max(1)
 }
@@ -155,46 +148,47 @@ pub(crate) fn contiguous_assignment(count: usize, workers: usize) -> Vec<usize> 
         .collect()
 }
 
-/// Re-arms `acc` as `queries` fresh top-`k` accumulators, reusing both the
-/// outer vector and every selector's heap allocation.
-pub(crate) fn arm_accumulators(acc: &mut Vec<TopK>, queries: usize, k: usize) {
-    acc.truncate(queries);
-    for a in acc.iter_mut() {
+/// Re-arms the first `queries` accumulators of `acc` as fresh top-`k`
+/// selectors and returns them, reusing both the outer vector and every
+/// selector's heap allocation. The vector only grows: selectors past
+/// `queries` are kept for the next wider batch.
+fn arm_accumulators(acc: &mut Vec<TopK>, queries: usize, k: usize) -> &mut [TopK] {
+    for a in acc.iter_mut().take(queries) {
         a.reset(k);
     }
     while acc.len() < queries {
         acc.push(TopK::new(k));
     }
+    &mut acc[..queries]
 }
 
-/// The shared partition + board-image cache behind [`PreparedEngine`] and
-/// [`crate::scheduler::PreparedSchedule`].
+/// An [`ApKnnEngine`] bound to a dataset with its board images cached.
+///
+/// Created by [`ApKnnEngine::prepare`]. Repeated [`Self::try_search_batch`]
+/// calls reuse the partitioning and the compiled cores, so steady-state batch
+/// cost is encoding + streaming only; results and [`ApRunStats`] are
+/// bit-identical to the one-shot engine path (proptest-enforced in
+/// `tests/prepared_engine.rs`).
 #[derive(Clone, Debug)]
-pub(crate) struct PreparedBoards {
-    design: KnnDesign,
+pub struct PreparedEngine {
+    engine: ApKnnEngine,
     layout: StreamLayout,
     partitions: Vec<DatasetPartition>,
     dataset_len: usize,
-    /// Run the `ap-analyze` translation validator over every compiled image.
-    strict_analysis: bool,
     /// Compiled board images, built on the first cycle-accurate run.
     images: OnceLock<Result<Vec<BoardImage>, SearchError>>,
     /// Shared execution-scratch pool; clones of a preparation share it.
     pool: Arc<ScratchPool>,
 }
 
-impl PreparedBoards {
-    /// Partitions `data` for `design` at `vectors_per_board` vectors per image.
+impl PreparedEngine {
+    /// Partitions `data` into the engine's board images.
     ///
     /// # Errors
     /// [`SearchError::ZeroDims`] for a zero-dimension design and
     /// [`SearchError::DimMismatch`] when the dataset disagrees with it.
-    pub(crate) fn new(
-        design: KnnDesign,
-        data: &BinaryDataset,
-        vectors_per_board: usize,
-        strict_analysis: bool,
-    ) -> Result<Self, SearchError> {
+    pub(crate) fn new(engine: ApKnnEngine, data: &BinaryDataset) -> Result<Self, SearchError> {
+        let design = *engine.design();
         if design.dims == 0 {
             return Err(SearchError::ZeroDims);
         }
@@ -205,187 +199,111 @@ impl PreparedBoards {
             });
         }
         Ok(Self {
-            design,
             layout: StreamLayout::for_design(&design),
-            partitions: data.partition(vectors_per_board.max(1)),
+            partitions: data.partition(engine.capacity().vectors_per_board.max(1)),
             dataset_len: data.len(),
-            strict_analysis,
             images: OnceLock::new(),
             pool: Arc::new(ScratchPool::default()),
+            engine,
         })
     }
 
-    /// The shared execution-scratch pool.
-    pub(crate) fn pool(&self) -> &ScratchPool {
-        &self.pool
+    /// The engine configuration this preparation was made with.
+    pub fn engine(&self) -> &ApKnnEngine {
+        &self.engine
     }
 
-    pub(crate) fn design(&self) -> &KnnDesign {
-        &self.design
-    }
-
-    pub(crate) fn layout(&self) -> &StreamLayout {
-        &self.layout
-    }
-
-    pub(crate) fn partitions(&self) -> &[DatasetPartition] {
-        &self.partitions
-    }
-
-    pub(crate) fn dataset_len(&self) -> usize {
+    /// Vectors served.
+    pub fn len(&self) -> usize {
         self.dataset_len
+    }
+
+    /// Whether the prepared dataset is empty.
+    pub fn is_empty(&self) -> bool {
+        self.dataset_len == 0
+    }
+
+    /// Dimensionality of the served vectors.
+    pub fn dims(&self) -> usize {
+        self.engine.design().dims
+    }
+
+    /// Board configurations (dataset partitions) in the prepared image set.
+    pub fn board_count(&self) -> usize {
+        self.partitions.len()
+    }
+
+    /// Whether the board images have been built and compiled yet (they are
+    /// compiled lazily by the first cycle-accurate batch; a cached compile
+    /// *failure* does not count as compiled).
+    pub fn is_compiled(&self) -> bool {
+        self.images.get().is_some_and(|r| r.is_ok())
+    }
+
+    /// Builds and compiles the board images now instead of on the first
+    /// cycle-accurate batch, so serving traffic never pays the compile.
+    ///
+    /// # Errors
+    /// [`SearchError::Backend`] if a partition network fails validation.
+    pub fn compile(&self) -> Result<(), SearchError> {
+        self.images().map(|_| ())
+    }
+
+    /// Statistics of the shared execution-scratch pool. Once traffic reaches a
+    /// steady state [`PoolStats::fresh`] stops growing: every batch (encode →
+    /// simulate → decode) runs entirely on recycled scratch.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
     }
 
     /// Fabric elements of the largest board image (partition 0 by
     /// construction) — the planner's fabric-size input.
-    pub(crate) fn board_elements(&self) -> usize {
+    fn board_elements(&self) -> usize {
+        let design = self.engine.design();
         let vectors = self.partitions.first().map_or(0, |p| p.data.len());
-        vectors * (self.design.stes_per_vector() + self.design.counters_per_vector())
-    }
-
-    /// Whether the board images have been built and compiled successfully
-    /// (a cached compile *failure* does not count as compiled).
-    pub(crate) fn is_compiled(&self) -> bool {
-        self.images.get().is_some_and(|r| r.is_ok())
+        vectors * (design.stes_per_vector() + design.counters_per_vector())
     }
 
     /// Clamps a requested fan-out width to the number of workers that each get
-    /// at least [`MIN_WORKER_FANOUT_NS`] of estimated simulation work.
-    /// `cost_weighted_symbols` is the per-image symbol count, pre-scaled for
-    /// the lane path (lane cycles × [`LANE_CYCLE_COST_FACTOR`]). Only the
-    /// engine batch paths use this; [`crate::scheduler::PreparedSchedule`]
-    /// models explicit boards and keeps its requested worker count.
-    pub(crate) fn gated_workers(&self, cost_weighted_symbols: u64, workers: usize) -> usize {
+    /// at least [`MIN_WORKER_FANOUT_NS`] of estimated simulation work, pricing
+    /// `lane_cycles_per_image` at the planner's lane rate (per-symbol model ×
+    /// [`LANE_CYCLE_COST_FACTOR`]). [`crate::scheduler::PreparedSchedule`]
+    /// reports its modelled boards, not this host-thread count.
+    fn gated_workers(&self, lane_cycles_per_image: u64, workers: usize) -> usize {
         if workers <= 1 {
             return workers.max(1);
         }
-        let ns_per_symbol =
-            BASE_NS_PER_SYMBOL + NS_PER_ELEMENT_SYMBOL * self.board_elements() as f64;
-        let total_ns = cost_weighted_symbols as f64 * self.partitions.len() as f64 * ns_per_symbol;
+        let ns_per_cycle = (BASE_NS_PER_SYMBOL
+            + NS_PER_ELEMENT_SYMBOL * self.board_elements() as f64)
+            * LANE_CYCLE_COST_FACTOR;
+        let total_ns = lane_cycles_per_image as f64 * self.partitions.len() as f64 * ns_per_cycle;
         let useful = (total_ns / MIN_WORKER_FANOUT_NS) as usize;
         workers.min(useful.max(1))
     }
 
-    /// Streams the (shared) encoded query batch through every cached board
-    /// image, fanning the images out over up to `workers` scoped threads —
-    /// each standing in for one board — and merging each worker's per-query
-    /// accumulators into `global` (which must hold `queries_len` armed
-    /// selectors). This is the one partition-execution recipe behind both the
-    /// engine's serial/parallel schedules and
-    /// [`crate::scheduler::PreparedSchedule`], so the two stay bit-identical
-    /// by construction.
+    /// Streams the encoded lane passes (one per 64-query chunk of the batch,
+    /// see [`crate::lanes::encode_lane_planes_into`]) through every cached
+    /// board image, fanning the images out over up to `workers` scoped
+    /// threads — each standing in for one board — and merging each worker's
+    /// per-query accumulators into `global` (which must hold one armed
+    /// selector per query). Pass `p` demultiplexes into queries `p·64 ..`.
+    /// The returned report count unrolls every event's lane mask (one report
+    /// per set lane), so [`crate::engine::ApRunStats::reports`] counts one
+    /// report per (vector, query) pair exactly as the behavioural path does.
     ///
     /// Every worker checks its scratch (run state, report sink, accumulators)
     /// out of the shared [`ScratchPool`] and returns it afterwards, so a
-    /// steady-state batch performs no execution-side allocation. `chunks_out`
-    /// receives the number of images each worker ran, in assignment order.
-    /// Returns the total report count.
-    pub(crate) fn fan_out_into(
-        &self,
-        stream: &[u8],
-        k: usize,
-        queries_len: usize,
-        workers: usize,
-        global: &mut [TopK],
-        chunks_out: &mut Vec<usize>,
-    ) -> Result<u64, SearchError> {
-        let images = self.images()?;
-        let layout = &self.layout;
-        chunks_out.clear();
-        if images.is_empty() {
-            return Ok(0);
-        }
-        let span = assignment_span(images.len(), workers);
-        let workers = workers.min(images.len()).max(1);
-        let pool: &ScratchPool = &self.pool;
-
-        let run_chunk = |owned: &[BoardImage], scratch: &mut BatchScratch| -> u64 {
-            arm_accumulators(&mut scratch.accumulators, queries_len, k);
-            let mut reports_total = 0u64;
-            for image in owned {
-                // One pooled run state serves every image this worker drives
-                // (images differ in geometry; recycling adapts in place).
-                if let Some(state) = scratch.state.as_mut() {
-                    image.compiled.recycle_state(state);
-                } else {
-                    scratch.state = Some(image.compiled.new_state());
-                }
-                let state = scratch.state.as_mut().expect("state just ensured");
-                scratch.reports.clear();
-                image.compiled.run_into(state, stream, &mut scratch.reports);
-                merge_reports_into(
-                    layout,
-                    &scratch.reports,
-                    image.base_index,
-                    &mut scratch.accumulators,
-                );
-                reports_total += scratch.reports.len() as u64;
-            }
-            reports_total
-        };
-
-        if workers <= 1 {
-            let mut scratch = pool.checkout();
-            let reports = run_chunk(images, &mut scratch);
-            for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
-                g.merge(partial);
-            }
-            chunks_out.push(images.len());
-            pool.give_back(scratch);
-            return Ok(reports);
-        }
-
-        let run_chunk = &run_chunk;
-        let outputs: Vec<(BatchScratch, u64, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = images
-                .chunks(span)
-                .map(|owned| {
-                    scope.spawn(move || {
-                        let mut scratch = pool.checkout();
-                        let reports = run_chunk(owned, &mut scratch);
-                        (scratch, reports, owned.len())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("board-image worker panicked"))
-                .collect()
-        });
-        // The host merge across workers is exactly the merge across sequential
-        // reconfigurations, in assignment order.
-        let mut reports_total = 0u64;
-        for (scratch, reports, images_run) in outputs {
-            for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
-                g.merge(partial);
-            }
-            chunks_out.push(images_run);
-            pool.give_back(scratch);
-            reports_total += reports;
-        }
-        Ok(reports_total)
-    }
-
-    /// The lane-core twin of [`Self::fan_out_into`]: streams the encoded lane
-    /// passes (one per 64-query chunk of the batch, see
-    /// [`crate::lanes::encode_lane_planes_into`]) through every cached board
-    /// image over up to `workers` scoped threads. Pass `p` demultiplexes into
-    /// queries `p·64 ..`, so the merged accumulators are per-query exactly as
-    /// in the scalar fan-out; the returned report count unrolls every event's
-    /// lane mask (one report per set lane), keeping
-    /// [`crate::engine::ApRunStats::reports`] identical to the scalar path.
-    pub(crate) fn fan_out_lanes_into(
+    /// steady-state batch performs no execution-side allocation.
+    fn fan_out_lanes_into(
         &self,
         streams: &[LaneStream],
         k: usize,
-        queries_len: usize,
         workers: usize,
         global: &mut [TopK],
-        chunks_out: &mut Vec<usize>,
     ) -> Result<u64, SearchError> {
         let images = self.images()?;
         let layout = &self.layout;
-        chunks_out.clear();
+        let queries_len = global.len();
         if images.is_empty() {
             return Ok(0);
         }
@@ -394,7 +312,7 @@ impl PreparedBoards {
         let pool: &ScratchPool = &self.pool;
 
         let run_chunk = |owned: &[BoardImage], scratch: &mut BatchScratch| -> u64 {
-            arm_accumulators(&mut scratch.accumulators, queries_len, k);
+            let accumulators = arm_accumulators(&mut scratch.accumulators, queries_len, k);
             let mut reports_total = 0u64;
             for image in owned {
                 for (pass, stream) in streams.iter().enumerate() {
@@ -415,7 +333,7 @@ impl PreparedBoards {
                         &scratch.lane_reports,
                         image.base_index,
                         pass * MAX_LANES,
-                        &mut scratch.accumulators,
+                        accumulators,
                     );
                     reports_total += scratch
                         .lane_reports
@@ -433,20 +351,19 @@ impl PreparedBoards {
             for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
                 g.merge(partial);
             }
-            chunks_out.push(images.len());
             pool.give_back(scratch);
             return Ok(reports);
         }
 
         let run_chunk = &run_chunk;
-        let outputs: Vec<(BatchScratch, u64, usize)> = std::thread::scope(|scope| {
+        let outputs: Vec<(BatchScratch, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = images
                 .chunks(span)
                 .map(|owned| {
                     scope.spawn(move || {
                         let mut scratch = pool.checkout();
                         let reports = run_chunk(owned, &mut scratch);
-                        (scratch, reports, owned.len())
+                        (scratch, reports)
                     })
                 })
                 .collect();
@@ -455,12 +372,13 @@ impl PreparedBoards {
                 .map(|h| h.join().expect("board-image worker panicked"))
                 .collect()
         });
+        // The host merge across workers is exactly the merge across sequential
+        // reconfigurations, in assignment order.
         let mut reports_total = 0u64;
-        for (scratch, reports, images_run) in outputs {
+        for (scratch, reports) in outputs {
             for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
                 g.merge(partial);
             }
-            chunks_out.push(images_run);
             pool.give_back(scratch);
             reports_total += reports;
         }
@@ -473,20 +391,20 @@ impl PreparedBoards {
     /// network by the `ap-analyze` translation validator before it is cached
     /// — a mis-translation becomes a hard [`SearchError::Backend`] instead of
     /// silently corrupted search results.
-    pub(crate) fn images(&self) -> Result<&[BoardImage], SearchError> {
+    fn images(&self) -> Result<&[BoardImage], SearchError> {
         self.images
             .get_or_init(|| {
                 self.partitions
                     .iter()
                     .map(|partition| {
-                        let pn = PartitionNetwork::build(partition, &self.design);
+                        let pn = PartitionNetwork::build(partition, self.engine.design());
                         let compiled = CompiledNetwork::compile(&pn.network).map_err(|e| {
                             SearchError::Backend {
                                 backend: "ap-knn".to_string(),
                                 reason: e.to_string(),
                             }
                         })?;
-                        if self.strict_analysis {
+                        if self.engine.strict_analysis() {
                             ap_analyze::verify_compilation(&pn.network, &compiled).map_err(
                                 |reason| SearchError::Backend {
                                     backend: "ap-knn".to_string(),
@@ -508,78 +426,6 @@ impl PreparedBoards {
             .as_deref()
             .map_err(|e| e.clone())
     }
-}
-
-/// An [`ApKnnEngine`] bound to a dataset with its board images cached.
-///
-/// Created by [`ApKnnEngine::prepare`]. Repeated [`Self::try_search_batch`]
-/// calls reuse the partitioning and the compiled cores, so steady-state batch
-/// cost is encoding + streaming only; results and [`ApRunStats`] are
-/// bit-identical to the one-shot engine path (proptest-enforced in
-/// `tests/prepared_engine.rs`).
-#[derive(Clone, Debug)]
-pub struct PreparedEngine {
-    engine: ApKnnEngine,
-    boards: PreparedBoards,
-}
-
-impl PreparedEngine {
-    pub(crate) fn new(engine: ApKnnEngine, data: &BinaryDataset) -> Result<Self, SearchError> {
-        let boards = PreparedBoards::new(
-            *engine.design(),
-            data,
-            engine.capacity().vectors_per_board,
-            engine.strict_analysis(),
-        )?;
-        Ok(Self { engine, boards })
-    }
-
-    /// The engine configuration this preparation was made with.
-    pub fn engine(&self) -> &ApKnnEngine {
-        &self.engine
-    }
-
-    /// Vectors served.
-    pub fn len(&self) -> usize {
-        self.boards.dataset_len()
-    }
-
-    /// Whether the prepared dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.boards.dataset_len() == 0
-    }
-
-    /// Dimensionality of the served vectors.
-    pub fn dims(&self) -> usize {
-        self.boards.design().dims
-    }
-
-    /// Board configurations (dataset partitions) in the prepared image set.
-    pub fn board_count(&self) -> usize {
-        self.boards.partitions().len()
-    }
-
-    /// Whether the board images have been built and compiled yet (they are
-    /// compiled lazily by the first cycle-accurate batch).
-    pub fn is_compiled(&self) -> bool {
-        self.boards.is_compiled()
-    }
-
-    /// Builds and compiles the board images now instead of on the first
-    /// cycle-accurate batch, so serving traffic never pays the compile.
-    ///
-    /// # Errors
-    /// [`SearchError::Backend`] if a partition network fails validation.
-    pub fn compile(&self) -> Result<(), SearchError> {
-        self.boards.images().map(|_| ())
-    }
-
-    /// Statistics of the shared execution-scratch pool. Once traffic reaches a
-    /// steady state [`PoolStats::fresh`] stops growing: every batch (encode →
-    /// simulate → decode) runs entirely on recycled scratch.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.boards.pool().stats()
-    }
 
     /// Searches `queries` against the prepared dataset, writing the per-query
     /// sorted neighbors into the caller-owned `results` (resized to the batch;
@@ -600,7 +446,7 @@ impl PreparedEngine {
         results: &mut Vec<Vec<Neighbor>>,
     ) -> Result<ApRunStats, SearchError> {
         options.validate()?;
-        let dims = self.boards.design().dims;
+        let dims = self.dims();
         for q in queries {
             if q.dims() != dims {
                 return Err(SearchError::DimMismatch {
@@ -610,36 +456,22 @@ impl PreparedEngine {
             }
         }
 
-        let layout = self.boards.layout();
-        // Reports address their window by a 32-bit stream offset; a batch whose
-        // stream is longer than that cannot be decoded unambiguously.
-        let stream_len = layout.stream_len(queries.len());
-        if stream_len > u64::from(u32::MAX) {
-            return Err(SearchError::CapacityExceeded {
-                needed: stream_len,
-                limit: u64::from(u32::MAX),
-            });
-        }
-
-        let partitions = self.boards.partitions();
+        let layout = &self.layout;
+        let partitions = &self.partitions;
         let configs = partitions.len().max(1);
-        // A batch wide enough to amortize lane setup runs on the lane core:
-        // each 64-query chunk becomes one window-length pass instead of 64
-        // concatenated windows.
-        let use_lanes = queries.len() >= self.engine.lane_threshold();
+        // Each 64-query chunk of the batch is one window-length lane pass.
         let lane_passes = queries.len().div_ceil(MAX_LANES);
         let lane_cycles_per_image = layout.window_len() as u64 * lane_passes as u64;
         let mode = match options.execution {
             ExecutionPreference::Auto => {
-                // The planner sees the critical-path symbol count: board
+                // The planner sees the critical-path cycle count: board
                 // images fan out over the engine's workers, so wall-clock is
                 // set by the most loaded worker, not the serial sum.
                 let workers = self.engine.parallelism().min(configs).max(1);
                 let critical_configs = configs.div_ceil(workers) as u64;
-                self.engine.planner().pick_with_lanes(
-                    self.boards.board_elements(),
-                    stream_len * critical_configs,
-                    use_lanes.then_some(lane_cycles_per_image * critical_configs),
+                self.engine.planner().pick(
+                    self.board_elements(),
+                    lane_cycles_per_image * critical_configs,
                 )
             }
             ExecutionPreference::CycleAccurate => ExecutionMode::CycleAccurate,
@@ -647,21 +479,25 @@ impl PreparedEngine {
         };
 
         let k = options.k;
-        // The host-side scratch: global accumulators, encoded stream, and the
-        // behavioural distance buffer all come from (and return to) the pool.
-        let mut host = self.boards.pool().checkout();
-        arm_accumulators(&mut host.accumulators, queries.len(), k);
+        // The host-side scratch: global accumulators, encoded lane passes, and
+        // the behavioural distance buffer all come from (and return to) the
+        // pool.
+        let mut host = self.pool.checkout();
+        let global = arm_accumulators(&mut host.accumulators, queries.len(), k);
         let mut reports_total = 0u64;
         let mut lane_ran = false;
         // An empty batch streams nothing and an empty dataset has no boards:
         // skip execution entirely (and never compile images for it).
         if !queries.is_empty() && !partitions.is_empty() {
             match mode {
-                ExecutionMode::CycleAccurate if use_lanes => {
-                    // Lane path: encode each 64-query chunk as bit-planes of
-                    // one window (into pooled streams — only a batch wider
-                    // than any before allocates a new pass buffer), then fan
-                    // the board images out exactly as the scalar path does.
+                ExecutionMode::CycleAccurate => {
+                    // Encode each 64-query chunk as bit-planes of one window
+                    // (into pooled streams — only a batch wider than any
+                    // before allocates a new pass buffer), then fan the
+                    // independent images out over the engine's workers. The
+                    // host merge across workers is exactly the merge across
+                    // sequential reconfigurations, so results and statistics
+                    // are identical at any worker count.
                     while host.lane_streams.len() < lane_passes {
                         host.lane_streams.push(LaneStream::new());
                     }
@@ -670,50 +506,20 @@ impl PreparedEngine {
                     {
                         encode_lane_planes_into(layout, chunk, stream);
                     }
-                    let workers = self.boards.gated_workers(
-                        (lane_cycles_per_image as f64 * LANE_CYCLE_COST_FACTOR) as u64,
-                        self.engine.parallelism(),
-                    );
-                    match self.boards.fan_out_lanes_into(
+                    let workers =
+                        self.gated_workers(lane_cycles_per_image, self.engine.parallelism());
+                    match self.fan_out_lanes_into(
                         &host.lane_streams[..lane_passes],
                         k,
-                        queries.len(),
                         workers,
-                        &mut host.accumulators,
-                        &mut host.chunks,
+                        global,
                     ) {
                         Ok(reports) => {
                             reports_total = reports;
                             lane_ran = true;
                         }
                         Err(e) => {
-                            self.boards.pool().give_back(host);
-                            return Err(e);
-                        }
-                    }
-                }
-                ExecutionMode::CycleAccurate => {
-                    // The symbol stream is identical for every board image;
-                    // encode it once (into the pooled buffer), then fan the
-                    // independent images out over the engine's workers. The
-                    // host merge across workers is exactly the merge across
-                    // sequential reconfigurations, so results and statistics
-                    // are identical at any worker count.
-                    layout.encode_batch_into(queries, &mut host.stream);
-                    let workers = self
-                        .boards
-                        .gated_workers(stream_len, self.engine.parallelism());
-                    match self.boards.fan_out_into(
-                        &host.stream,
-                        k,
-                        queries.len(),
-                        workers,
-                        &mut host.accumulators,
-                        &mut host.chunks,
-                    ) {
-                        Ok(reports) => reports_total = reports,
-                        Err(e) => {
-                            self.boards.pool().give_back(host);
+                            self.pool.give_back(host);
                             return Err(e);
                         }
                     }
@@ -727,7 +533,7 @@ impl PreparedEngine {
                         for (qi, q) in queries.iter().enumerate() {
                             partition.data.hamming_batch_into(q, &mut host.distances);
                             reports_total += host.distances.len() as u64;
-                            let acc = &mut host.accumulators[qi];
+                            let acc = &mut global[qi];
                             for (local, &dist) in host.distances.iter().enumerate() {
                                 acc.offer(Neighbor::new(partition.global_index(local), dist));
                             }
@@ -738,7 +544,7 @@ impl PreparedEngine {
         }
 
         let mut stats = self.engine.accounting(
-            self.boards.dataset_len(),
+            self.dataset_len,
             queries.len(),
             configs,
             reports_total,
@@ -753,11 +559,11 @@ impl PreparedEngine {
         while results.len() < queries.len() {
             results.push(Vec::new());
         }
-        for (acc, neighbors) in host.accumulators.iter_mut().zip(results.iter_mut()) {
+        for (acc, neighbors) in global.iter_mut().zip(results.iter_mut()) {
             acc.drain_sorted_into(neighbors);
             options.clip(neighbors);
         }
-        self.boards.pool().give_back(host);
+        self.pool.give_back(host);
         Ok(stats)
     }
 
@@ -784,6 +590,7 @@ impl PreparedEngine {
 mod tests {
     use super::*;
     use crate::capacity::{BoardCapacity, CapacityModel};
+    use crate::design::KnnDesign;
     use binvec::generate::{uniform_dataset, uniform_queries};
 
     fn tiny_capacity(vectors_per_board: usize) -> BoardCapacity {
@@ -797,8 +604,11 @@ mod tests {
     fn worker_fanout_gate_scales_with_estimated_work() {
         let dims = 16;
         let data = uniform_dataset(24, dims, 70);
-        let boards = PreparedBoards::new(KnnDesign::new(dims), &data, 8, false).unwrap();
-        assert_eq!(boards.partitions().len(), 3);
+        let boards = ApKnnEngine::new(KnnDesign::new(dims))
+            .with_capacity(tiny_capacity(8))
+            .prepare(&data)
+            .unwrap();
+        assert_eq!(boards.board_count(), 3);
 
         // Tiny batches do not amortize a thread spawn: the gate collapses the
         // requested fan-out to a single in-place worker.

@@ -22,9 +22,13 @@
 
 use crate::capacity::BoardCapacity;
 use crate::design::KnnDesign;
-use crate::prepared::{arm_accumulators, contiguous_assignment, PoolStats, PreparedBoards};
+use crate::engine::{ApKnnEngine, ExecutionMode};
+use crate::prepared::{contiguous_assignment, PoolStats, PreparedEngine};
+use crate::stream::StreamLayout;
 use ap_sim::TimingModel;
-use binvec::{BinaryDataset, BinaryVector, Neighbor, QueryOptions, SearchError};
+use binvec::{
+    BinaryDataset, BinaryVector, ExecutionPreference, Neighbor, QueryOptions, SearchError,
+};
 use serde::{Deserialize, Serialize};
 
 /// Statistics from one parallel scheduled run.
@@ -32,7 +36,7 @@ use serde::{Deserialize, Serialize};
 pub struct ScheduleStats {
     /// Number of dataset partitions (board images) processed.
     pub partitions: usize,
-    /// Number of worker threads (simulated boards) actually used.
+    /// Number of simulated boards (workers) the partitions are assigned to.
     pub workers_used: usize,
     /// Partitions assigned to each worker.
     pub partitions_per_worker: Vec<usize>,
@@ -119,13 +123,13 @@ impl ParallelApScheduler {
     /// [`SearchError::ZeroDims`] for a zero-dimension design and
     /// [`SearchError::DimMismatch`] when the dataset disagrees with it.
     pub fn prepare(&self, data: &BinaryDataset) -> Result<PreparedSchedule, SearchError> {
+        let engine = ApKnnEngine::new(self.design)
+            .with_capacity(self.capacity)
+            .with_mode(ExecutionMode::CycleAccurate)
+            .with_parallelism(self.workers)
+            .with_strict_analysis(self.strict_analysis);
         Ok(PreparedSchedule {
-            boards: PreparedBoards::new(
-                self.design,
-                data,
-                self.capacity.vectors_per_board,
-                self.strict_analysis,
-            )?,
+            prepared: engine.prepare(data)?,
             scheduler: self.clone(),
         })
     }
@@ -159,10 +163,14 @@ impl ParallelApScheduler {
 
 /// A [`ParallelApScheduler`] bound to a dataset with its board images cached —
 /// created by [`ParallelApScheduler::prepare`].
+///
+/// A view over a cycle-accurate [`PreparedEngine`] with one worker per
+/// modelled board: the engine validates, encodes and runs every batch, and
+/// the view reports the board assignment as [`ScheduleStats`].
 #[derive(Clone, Debug)]
 pub struct PreparedSchedule {
     scheduler: ParallelApScheduler,
-    boards: PreparedBoards,
+    prepared: PreparedEngine,
 }
 
 impl PreparedSchedule {
@@ -173,23 +181,23 @@ impl PreparedSchedule {
 
     /// Vectors served.
     pub fn len(&self) -> usize {
-        self.boards.dataset_len()
+        self.prepared.len()
     }
 
     /// Whether the prepared dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.boards.dataset_len() == 0
+        self.prepared.is_empty()
     }
 
     /// Dimensionality of the served vectors.
     pub fn dims(&self) -> usize {
-        self.boards.design().dims
+        self.prepared.dims()
     }
 
     /// Whether the board images have been built and compiled yet (they are
     /// compiled by the first non-empty batch).
     pub fn is_compiled(&self) -> bool {
-        self.boards.is_compiled()
+        self.prepared.is_compiled()
     }
 
     /// Searches `queries` across the cached board images, distributing them
@@ -200,108 +208,41 @@ impl PreparedSchedule {
     /// apply; the execution preference is ignored (the schedule is inherently
     /// cycle-accurate).
     ///
+    /// [`ScheduleStats`] describe the modelled boards — the contiguous
+    /// assignment of partitions to the configured workers — even when the
+    /// host runs a small batch on fewer threads.
+    ///
     /// # Errors
-    /// [`SearchError::ZeroK`] / [`SearchError::ZeroDistanceBound`] for invalid
-    /// options, [`SearchError::DimMismatch`] for mis-sized queries, and
-    /// [`SearchError::Backend`] if a partition network fails validation.
+    /// Exactly the errors of [`PreparedEngine::try_search_batch`].
     pub fn try_search_batch(
         &self,
         queries: &[BinaryVector],
         options: &QueryOptions,
     ) -> Result<(Vec<Vec<Neighbor>>, ScheduleStats), SearchError> {
-        options.validate()?;
-        let dims = self.boards.design().dims;
-        for q in queries {
-            if q.dims() != dims {
-                return Err(SearchError::DimMismatch {
-                    expected: dims,
-                    actual: q.dims(),
-                });
-            }
-        }
-        let k = options.k;
-        let layout = self.boards.layout();
-        // Reports address their window by a 32-bit stream offset; a batch whose
-        // stream is longer than that cannot be decoded unambiguously.
-        let stream_len = layout.stream_len(queries.len());
-        if stream_len > u64::from(u32::MAX) {
-            return Err(SearchError::CapacityExceeded {
-                needed: stream_len,
-                limit: u64::from(u32::MAX),
-            });
-        }
-        // An empty batch streams nothing: answer without compiling any board
-        // image, with the same schedule shape a zero-symbol run would report
-        // (the shared `contiguous_assignment` is what the fan-out executes).
-        if queries.is_empty() {
-            let partitions = self.boards.partitions().len();
-            let partitions_per_worker = contiguous_assignment(partitions, self.scheduler.workers);
-            let chunks = partitions_per_worker.len();
-            return Ok((
-                Vec::new(),
-                ScheduleStats {
-                    partitions,
-                    workers_used: chunks.max(1),
-                    partitions_per_worker,
-                    reports: 0,
-                    symbols_per_worker: vec![0; chunks],
-                },
-            ));
-        }
-        // The shared pooled partition-execution recipe: encode into pooled
-        // scratch, one scoped worker per contiguous image chunk (each standing
-        // in for one board), per-worker scratch from the same pool, and a
-        // host-side merge identical to the merge across sequential
-        // reconfigurations.
-        let mut host = self.boards.pool().checkout();
-        layout.encode_batch_into(queries, &mut host.stream);
-        arm_accumulators(&mut host.accumulators, queries.len(), k);
-        let reports = match self.boards.fan_out_into(
-            &host.stream,
-            k,
-            queries.len(),
-            self.scheduler.workers,
-            &mut host.accumulators,
-            &mut host.chunks,
-        ) {
-            Ok(reports) => reports,
-            Err(e) => {
-                self.boards.pool().give_back(host);
-                return Err(e);
-            }
-        };
-
-        let workers_used = host.chunks.len().max(1);
-        let partitions_per_worker = host.chunks.clone();
+        let options = options.execution(ExecutionPreference::CycleAccurate);
+        let (results, run) = self.prepared.try_search_batch(queries, &options)?;
+        let partitions = self.prepared.board_count();
+        let partitions_per_worker = contiguous_assignment(partitions, self.scheduler.workers);
         // Each worker streams the full query batch once per image it owns.
-        let symbols_per_worker: Vec<u64> = host
-            .chunks
+        let stream_len = StreamLayout::for_design(&self.scheduler.design).stream_len(queries.len());
+        let symbols_per_worker = partitions_per_worker
             .iter()
-            .map(|&images| images as u64 * host.stream.len() as u64)
+            .map(|&images| images as u64 * stream_len)
             .collect();
-
         let stats = ScheduleStats {
-            partitions: self.boards.partitions().len(),
-            workers_used,
+            partitions,
+            workers_used: partitions_per_worker.len().max(1),
             partitions_per_worker,
-            reports,
+            reports: run.reports,
             symbols_per_worker,
         };
-        let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
-        for acc in host.accumulators.iter_mut().take(queries.len()) {
-            let mut neighbors = Vec::new();
-            acc.drain_sorted_into(&mut neighbors);
-            options.clip(&mut neighbors);
-            results.push(neighbors);
-        }
-        self.boards.pool().give_back(host);
         Ok((results, stats))
     }
 
     /// Statistics of the shared execution-scratch pool (see
-    /// [`crate::PreparedEngine::pool_stats`]).
+    /// [`PreparedEngine::pool_stats`]).
     pub fn pool_stats(&self) -> PoolStats {
-        self.boards.pool().stats()
+        self.prepared.pool_stats()
     }
 }
 

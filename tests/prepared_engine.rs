@@ -92,9 +92,9 @@ proptest! {
             )
             .unwrap();
         prop_assert_eq!(&cycle.0, &behavioral.0);
-        // A 2-query batch clears the default lane threshold, so the forced
-        // cycle-accurate run reports lane gauges; everything else matches
-        // the behavioural accounting bit-for-bit.
+        // The forced cycle-accurate run executes on the lane core and
+        // reports lane gauges; everything else matches the behavioural
+        // accounting bit-for-bit.
         prop_assert_eq!(cycle.1.lane_width, ap_sim::MAX_LANES);
         prop_assert_eq!(cycle.1.lane_fill, 2.0 / ap_sim::MAX_LANES as f64);
         let normalized = ap_knn::ApRunStats { lane_width: 0, lane_fill: 0.0, ..cycle.1 };
@@ -103,10 +103,11 @@ proptest! {
 }
 
 /// A batch wider than one 64-lane pass splits into several passes that still
-/// agree bit-for-bit with the scalar window-per-query path — including lanes
-/// past the first pass (query 65+ demultiplexes through `lane_base`).
+/// agree bit-for-bit with the behavioural mode and an exact linear scan —
+/// including lanes past the first pass (query 65+ demultiplexes through
+/// `lane_base`).
 #[test]
-fn multi_pass_lane_batches_match_the_scalar_path() {
+fn multi_pass_lane_batches_match_behavioral_and_linear_scan() {
     let dims = 10;
     let data = binvec::generate::uniform_dataset(40, dims, 90);
     let queries = binvec::generate::uniform_queries(70, dims, 91);
@@ -114,20 +115,26 @@ fn multi_pass_lane_batches_match_the_scalar_path() {
     let design = KnnDesign::new(dims);
     let laned = ApKnnEngine::new(design)
         .with_capacity(capacity(12))
+        .with_mode(ExecutionMode::CycleAccurate)
         .prepare(&data)
         .unwrap();
-    let scalar = ApKnnEngine::new(design)
+    let behavioral = ApKnnEngine::new(design)
         .with_capacity(capacity(12))
-        .with_lane_threshold(usize::MAX)
+        .with_mode(ExecutionMode::Behavioral)
         .prepare(&data)
         .unwrap();
     let (lane_results, lane_stats) = laned.try_search_batch(&queries, &options).unwrap();
-    let (scalar_results, scalar_stats) = scalar.try_search_batch(&queries, &options).unwrap();
-    assert_eq!(lane_results, scalar_results);
+    let (behavioral_results, behavioral_stats) =
+        behavioral.try_search_batch(&queries, &options).unwrap();
+    assert_eq!(lane_results, behavioral_results);
+    let ground_truth = LinearScan::new(data.clone());
+    for (q, got) in queries.iter().zip(&lane_results) {
+        assert_eq!(got, &ground_truth.search(q, 5));
+    }
     assert_eq!(lane_stats.lane_width, ap_sim::MAX_LANES);
     assert_eq!(lane_stats.lane_fill, 70.0 / 128.0);
-    assert_eq!(scalar_stats.lane_width, 0);
-    assert_eq!(lane_stats.reports, scalar_stats.reports);
+    assert_eq!(behavioral_stats.lane_width, 0);
+    assert_eq!(lane_stats.reports, behavioral_stats.reports);
 }
 
 #[test]

@@ -44,8 +44,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 #[test]
 fn warmed_steady_state_batches_allocate_nothing() {
     let dims = 16;
-    let batch = 4;
     let k = 5;
+    // Batch widths: a single query (one lane), a partial pass, and a batch
+    // that takes two 64-lane passes.
+    let widths = [1usize, 4, 70];
     let data = uniform_dataset(48, dims, 101);
     let direct = LinearScan::new(data.clone());
     let engine = ApKnnEngine::new(KnnDesign::new(dims))
@@ -59,25 +61,34 @@ fn warmed_steady_state_batches_allocate_nothing() {
     let options = QueryOptions::top(k);
 
     // Query batches are prebuilt so the measured window contains nothing but
-    // the engine's own encode → simulate → decode.
+    // the engine's own encode → simulate → decode. Rounds interleave the
+    // widths, so the pooled buffers see every width change.
     let batches: Vec<Vec<binvec::BinaryVector>> = (0..8u64)
-        .map(|round| uniform_queries(batch, dims, 102 + round))
+        .flat_map(|round| {
+            widths
+                .iter()
+                .enumerate()
+                .map(move |(w, &width)| uniform_queries(width, dims, 102 + round * 8 + w as u64))
+        })
         .collect();
+    // One caller-owned result buffer per width: the engine resizes the buffer
+    // to the batch, so sharing one across widths would reallocate by design.
+    let mut results: Vec<Vec<Vec<binvec::Neighbor>>> = vec![Vec::new(); widths.len()];
+    let warm_up = 3 * widths.len();
 
     // Warm-up: compiles the board images, fills the scratch pool, and grows
-    // every pooled buffer (stream, report sink, accumulators, result vectors)
-    // to its steady-state capacity.
-    let mut results = Vec::new();
-    for queries in &batches[..3] {
+    // every pooled buffer (lane passes, report sink, accumulators, result
+    // vectors) to its steady-state capacity at every width.
+    for (i, queries) in batches[..warm_up].iter().enumerate() {
         prepared
-            .try_search_batch_into(queries, &options, &mut results)
+            .try_search_batch_into(queries, &options, &mut results[i % widths.len()])
             .unwrap();
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for queries in &batches[3..] {
+    for (i, queries) in batches.iter().enumerate().skip(warm_up) {
         prepared
-            .try_search_batch_into(queries, &options, &mut results)
+            .try_search_batch_into(queries, &options, &mut results[i % widths.len()])
             .unwrap();
     }
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -87,8 +98,12 @@ fn warmed_steady_state_batches_allocate_nothing() {
     );
 
     // And the allocation-free answers are still the right ones.
-    for (query, neighbors) in batches.last().unwrap().iter().zip(&results) {
-        assert_eq!(neighbors, &direct.search(query, k));
+    let last_round = &batches[batches.len() - widths.len()..];
+    for (queries, answers) in last_round.iter().zip(&results) {
+        assert_eq!(answers.len(), queries.len());
+        for (query, neighbors) in queries.iter().zip(answers) {
+            assert_eq!(neighbors, &direct.search(query, k));
+        }
     }
     let pool = prepared.pool_stats();
     assert_eq!(pool.fresh, 2, "one host + one worker scratch, ever");
